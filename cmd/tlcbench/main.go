@@ -7,6 +7,7 @@
 //	tlcbench -experiment fig12 -duration 60s -seeds 3
 //	tlcbench -experiment fig12,table2 -workers -1 -json bench.json
 //	tlcbench -experiment table2 -cpuprofile cpu.pprof
+//	tlcbench -ledger-bench -cpuprofile ledger.pprof -memprofile heap.pprof
 //	tlcbench -experiment faults -duration 30s -seeds 3
 //	tlcbench -experiment city -shards 0,2,4 -json BENCH_city.json
 //	tlcbench -list
@@ -27,6 +28,8 @@
 // report (per-experiment wall time, worker count and domain metrics)
 // to the given path, or to stdout when the path is "-", establishing
 // the BENCH_*.json perf trajectory tracked in the repo.
+// -cpuprofile and -memprofile work in every mode, the loadgen and
+// ledger modes and their checks included.
 package main
 
 import (
@@ -112,6 +115,14 @@ func main() {
 		fmt.Println(strings.Join(experiment.IDs, "\n"))
 		return
 	}
+
+	// Profiling covers every mode: the CPU profile starts before the
+	// mode dispatch and the deferred finish (or fatalf) stops it.
+	if *cpuProfile != "" {
+		startCPUProfile(*cpuProfile)
+	}
+	defer finishProfiles(*memProfile)
+
 	if *flagLGCheck != "" {
 		lgCheck(*flagLGCheck)
 		return
@@ -134,22 +145,6 @@ func main() {
 		opt = experiment.Quick()
 	}
 	opt.Workers = *workers
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatalf("create %s: %v", *cpuProfile, err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("start CPU profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatalf("close %s: %v", *cpuProfile, err)
-			}
-		}()
-	}
 
 	ids := experiment.IDs
 	if *exp != "all" {
@@ -243,20 +238,6 @@ func main() {
 		report.TotalMS += float64(wall.Microseconds()) / 1e3
 	}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatalf("create %s: %v", *memProfile, err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatalf("write heap profile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("close %s: %v", *memProfile, err)
-		}
-	}
-
 	report.Registry = metrics.Default.Snapshot()
 
 	if *jsonPath != "" {
@@ -307,7 +288,54 @@ func parseShards(s string) []int {
 	return out
 }
 
+// stopCPUProfile stops the running CPU profile and closes its file;
+// nil when no profile is running. fatalf calls it too, so an error
+// exit still leaves a complete profile behind.
+var stopCPUProfile func()
+
+func startCPUProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("create %s: %v", path, err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatalf("start CPU profile: %v", err)
+	}
+	stopCPUProfile = func() {
+		stopCPUProfile = nil
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatalf("close %s: %v", path, err)
+		}
+	}
+}
+
+// finishProfiles stops the CPU profile, if one is running, and writes
+// the heap profile to memPath, if set.
+func finishProfiles(memPath string) {
+	if stopCPUProfile != nil {
+		stopCPUProfile()
+	}
+	if memPath == "" {
+		return
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		fatalf("create %s: %v", memPath, err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fatalf("write heap profile: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		fatalf("close %s: %v", memPath, err)
+	}
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "tlcbench: "+format+"\n", args...)
+	if stopCPUProfile != nil {
+		stopCPUProfile()
+	}
 	os.Exit(2)
 }

@@ -229,3 +229,54 @@ func TestShardParityCityCDFUnaffectedByMergeLaziness(t *testing.T) {
 		t.Fatalf("CDF bytes differ between shards 0 and 4:\n%s\nvs\n%s", a.Text[ia:], b.Text[ib:])
 	}
 }
+
+// TestShardParityCityPinnedGolden pins a small traced city to the
+// exact counts and per-cell fired-event trace hashes the pure-heap
+// engine produced, at shard counts 0 and 2. The other parity tests
+// compare shard counts with each other, so an engine change that
+// reorders events the same way at every shard count would pass them;
+// this one would not.
+func TestShardParityCityPinnedGolden(t *testing.T) {
+	type cellGolden struct {
+		fired uint64
+		hash  uint64
+	}
+	want := []cellGolden{
+		{29984, 0xd28de76dc10dc299},
+		{20794, 0xee2b00cd20e2cf4c},
+		{25504, 0x0b385bab11eed696},
+		{41578, 0xeba378f39a002de9},
+	}
+	for _, shards := range []int{0, 2} {
+		cfg := stormyCityConfig(shards)
+		cfg.Duration = 5 * time.Second
+		res, err := RunCity(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		var lane uint64
+		for _, c := range res.Cells {
+			lane += c.LanePackets
+		}
+		if got := res.Metrics["events_fired"]; got != 117860 {
+			t.Errorf("shards=%d: events_fired = %v, want 117860", shards, got)
+		}
+		if res.ChargedBytes != 38664803 || res.DeliveredBytes != 35717835 {
+			t.Errorf("shards=%d: charged/delivered = %d/%d, want 38664803/35717835",
+				shards, res.ChargedBytes, res.DeliveredBytes)
+		}
+		if lane != 153 {
+			t.Errorf("shards=%d: lane packets = %d, want 153", shards, lane)
+		}
+		if len(res.Cells) != len(want) {
+			t.Fatalf("shards=%d: %d cells, want %d", shards, len(res.Cells), len(want))
+		}
+		for i, w := range want {
+			c := res.Cells[i]
+			if c.EventsFired != w.fired || c.FiredTraceHash != w.hash {
+				t.Errorf("shards=%d: cell %d fired %d trace %#x, want %d %#x",
+					shards, i, c.EventsFired, c.FiredTraceHash, w.fired, w.hash)
+			}
+		}
+	}
+}

@@ -267,27 +267,23 @@ type Link struct {
 
 	Stats LinkStats
 
+	// queue[qhead:] is the live queue in service order. Dequeues
+	// advance qhead instead of re-slicing, so the backing array keeps
+	// its capacity; enqueue reclaims the front slack (see enqueue).
 	queue        []*Packet
+	qhead        int
 	queuedBytes  int
 	transmitting bool
 
-	// inFlight is the packet occupying the transmitter; the
-	// transmitting flag guarantees at most one. gateRetryFn/txDoneFn
-	// cache the two hot-path event closures (see gateRetry/txDone).
-	inFlight    *Packet
+	// txq holds the transmit-done event of the packet occupying the
+	// transmitter (the transmitting flag guarantees at most one), and
+	// wire the packets on the wire: transmitted and loss-checked,
+	// awaiting delivery after Delay. Both are FIFO timelines; see
+	// send for why delivery times are monotone. gateRetryFn caches
+	// the gate-poll closure (see gateRetry).
+	txq         *sim.Timeline[*Packet]
+	wire        *sim.Timeline[*Packet]
 	gateRetryFn func()
-	txDoneFn    func()
-
-	// ring is the FIFO of packets on the wire: transmitted and
-	// loss-checked, awaiting delivery after Delay. Deliveries share
-	// the single cached pooled callback deliverFn instead of closing
-	// over each packet; see propagate for why FIFO pairing preserves
-	// the exact (time, seq) delivery schedule. The buffer is a
-	// power-of-two circular queue.
-	ring      []*Packet
-	ringHead  int
-	ringLen   int
-	deliverFn func()
 
 	// evictIdx is scratch for evictLowerPriority, reused across
 	// overflows so the queue-overflow path does not allocate.
@@ -307,7 +303,7 @@ type Link struct {
 
 // NewLink returns a ready link. Loss defaults to NoLoss.
 func NewLink(name string, sched *sim.Scheduler, rateBps float64, delay time.Duration, queueBytes int, dst Node) *Link {
-	return &Link{
+	l := &Link{
 		Name:       name,
 		Sched:      sched,
 		RateBps:    rateBps,
@@ -316,18 +312,21 @@ func NewLink(name string, sched *sim.Scheduler, rateBps float64, delay time.Dura
 		Loss:       NoLoss{},
 		Dst:        dst,
 	}
+	l.txq = sim.NewTimeline(sched, l.txDone)
+	l.wire = sim.NewTimeline(sched, l.deliver)
+	return l
 }
 
 // QueueLen returns the number of queued packets (excluding the packet
 // currently in transmission).
-func (l *Link) QueueLen() int { return len(l.queue) }
+func (l *Link) QueueLen() int { return len(l.queue) - l.qhead }
 
 // QueuedBytes returns the number of queued bytes.
 func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // Recv implements Node: the link accepts the packet for transmission.
 //
-//tlcvet:hotpath per-packet ingress; enqueue/propagate/send/deliver and the ring helpers are all reached from here
+//tlcvet:hotpath per-packet ingress; enqueue/propagate/send/deliver and the timelines are all reached from here
 func (l *Link) Recv(pkt *Packet) {
 	l.Stats.InPackets++
 	l.Stats.InBytes += uint64(pkt.Size)
@@ -363,11 +362,12 @@ func (l *Link) evictLowerPriority(pkt *Packet) bool {
 	// Scan from the back (lowest priority sits last due to priority
 	// insertion) marking evictable packets. evictIdx collects the
 	// victims in descending index order.
+	q := l.queue[l.qhead:]
 	freed := 0
 	l.evictIdx = l.evictIdx[:0]
-	for i := len(l.queue) - 1; i >= 0 && freed < need; i-- {
-		if l.queue[i].QCI > pkt.QCI {
-			freed += l.queue[i].Size
+	for i := len(q) - 1; i >= 0 && freed < need; i-- {
+		if q[i].QCI > pkt.QCI {
+			freed += q[i].Size
 			l.evictIdx = append(l.evictIdx, i)
 		}
 	}
@@ -377,30 +377,39 @@ func (l *Link) evictLowerPriority(pkt *Packet) bool {
 	// Compact in place: evictIdx is descending, so its last entry is
 	// the smallest victim index.
 	next := len(l.evictIdx) - 1
-	keep := l.queue[:0]
-	for i, q := range l.queue {
+	keep := q[:0]
+	for i, p := range q {
 		if next >= 0 && i == l.evictIdx[next] {
 			next--
-			l.queuedBytes -= q.Size
+			l.queuedBytes -= p.Size
 			l.Stats.QueueDrops++
-			l.Stats.QueueDropped += uint64(q.Size)
-			l.qciDrop[q.QCI]++
-			l.Pool.Put(q)
+			l.Stats.QueueDropped += uint64(p.Size)
+			l.qciDrop[p.QCI]++
+			l.Pool.Put(p)
 			continue
 		}
-		keep = append(keep, q)
+		keep = append(keep, p)
 	}
-	for i := len(keep); i < len(l.queue); i++ {
-		l.queue[i] = nil
-	}
-	l.queue = keep
+	clear(q[len(keep):])
+	l.queue = l.queue[:l.qhead+len(keep)]
 	return true
 }
 
-// enqueue inserts by QCI priority (stable within a class).
+// enqueue inserts by QCI priority (stable within a class). When the
+// backing array is full and at least half of it is dead front slack
+// left by dequeues, the live queue moves back to the front first, so
+// a standing queue reuses one array instead of reallocating every
+// cap packets; the copy is amortised over the dequeues that freed
+// the slack.
 func (l *Link) enqueue(pkt *Packet) {
+	if len(l.queue) == cap(l.queue) && 2*l.qhead >= len(l.queue) && l.qhead > 0 {
+		n := copy(l.queue, l.queue[l.qhead:])
+		clear(l.queue[n:])
+		l.queue = l.queue[:n]
+		l.qhead = 0
+	}
 	i := len(l.queue)
-	for i > 0 && l.queue[i-1].QCI > pkt.QCI {
+	for i > l.qhead && l.queue[i-1].QCI > pkt.QCI {
 		i--
 	}
 	l.queue = append(l.queue, nil)
@@ -411,7 +420,7 @@ func (l *Link) enqueue(pkt *Packet) {
 
 // kick starts the transmitter if idle.
 func (l *Link) kick() {
-	if l.transmitting || len(l.queue) == 0 {
+	if l.transmitting || l.QueueLen() == 0 {
 		return
 	}
 	if l.Gate != nil && !l.Gate(l.Sched.Now()) {
@@ -422,16 +431,13 @@ func (l *Link) kick() {
 		l.Sched.AfterPooled(10*time.Millisecond, l.gateRetry())
 		return
 	}
-	pkt := l.queue[0]
-	l.queue[0] = nil
-	if len(l.queue) == 1 {
-		// Drained: rewind to the backing array's start so steady-state
-		// enqueue/dequeue churn reuses it. Advancing the base with
-		// queue[1:] here would erode the capacity and make the next
-		// append reallocate — one hidden allocation per packet.
+	pkt := l.queue[l.qhead]
+	l.queue[l.qhead] = nil
+	l.qhead++
+	if l.qhead == len(l.queue) {
+		// Drained: rewind to the backing array's start.
 		l.queue = l.queue[:0]
-	} else {
-		l.queue = l.queue[1:]
+		l.qhead = 0
 	}
 	l.queuedBytes -= pkt.Size
 	l.transmitting = true
@@ -447,13 +453,11 @@ func (l *Link) kick() {
 		}
 		tx = time.Duration(float64(pkt.Size*8) / rate * float64(time.Second))
 	}
-	l.inFlight = pkt
-	l.Sched.AfterPooled(tx, l.txDone())
+	l.txq.After(tx, pkt)
 }
 
-// gateRetry and txDone return per-link closures that are allocated
-// once and reused for every transmission, so the two events on the
-// per-packet hot path cost neither an Event nor a closure allocation.
+// gateRetry returns the per-link gate-poll closure, allocated once
+// and reused for every retry.
 func (l *Link) gateRetry() func() {
 	if l.gateRetryFn == nil {
 		//tlcvet:allow hotalloc — allocated once per link on first use, then cached in gateRetryFn
@@ -465,33 +469,16 @@ func (l *Link) gateRetry() func() {
 	return l.gateRetryFn
 }
 
-func (l *Link) txDone() func() {
-	if l.txDoneFn == nil {
-		//tlcvet:allow hotalloc — allocated once per link on first use, then cached in txDoneFn
-		l.txDoneFn = func() {
-			pkt := l.inFlight
-			l.inFlight = nil
-			l.transmitting = false
-			l.propagate(pkt)
-			l.kick()
-		}
-	}
-	return l.txDoneFn
+// txDone runs when pkt's transmission completes: it frees the
+// transmitter, puts the packet on the wire and serves the next one.
+func (l *Link) txDone(pkt *Packet) {
+	l.transmitting = false
+	l.propagate(pkt)
+	l.kick()
 }
 
-// propagate applies the loss model and delivers after Delay.
-//
-// Delayed deliveries ride the link's FIFO ring: the packet is pushed
-// here and a pooled event — sharing the cached deliverFn rather than
-// closing over the packet — is scheduled for now+Delay. The event's
-// scheduler seq is reserved by AfterPooled at this moment, exactly
-// when the per-packet closure used to reserve it, and simulated time
-// never decreases while Delay is fixed per link, so delivery events
-// fire in enqueue order and each firing pops the packet enqueued with
-// it. The (time, seq) delivery schedule is therefore bit-for-bit what
-// the closure version produced, without the per-packet allocation.
-// (Mutating Delay while packets are in flight would break the FIFO
-// pairing; no caller does.)
+// propagate applies the loss model and fault injector, then puts the
+// packet on the wire.
 func (l *Link) propagate(pkt *Packet) {
 	if l.Loss != nil && l.Loss.Drop(pkt, l.Sched.Now()) {
 		l.Stats.LossDrops++
@@ -524,27 +511,23 @@ func (l *Link) propagate(pkt *Packet) {
 	l.send(pkt, 0)
 }
 
-// send puts the packet on the wire. extra == 0 is the normal path and
-// rides the FIFO delivery ring. extra > 0 (a fault's reorder hold or
-// delay spike) deliberately breaks the link's FIFO order, so it must
-// bypass the ring — the ring's deliverFn pops strictly in push order
-// and a longer-delayed packet would make a later pop hand back the
-// wrong struct. Those packets get a dedicated per-packet closure
-// event instead; the allocation only happens on faulted packets.
+// send puts the packet on the wire. extra == 0 is the normal path:
+// the packet joins the wire timeline for delivery at now+Delay.
+// Simulated time never decreases and Delay is fixed per link, so
+// those times are non-decreasing, as the timeline requires (mutating
+// Delay with packets in flight makes it panic). extra > 0 (a fault's
+// reorder hold or delay spike) deliberately breaks the link's FIFO
+// order, so those packets bypass the timeline with a dedicated
+// per-packet heap event; only faulted packets pay its allocation.
 func (l *Link) send(pkt *Packet, extra time.Duration) {
 	if extra > 0 {
 		p := pkt
-		//tlcvet:allow hotalloc — out-of-FIFO delivery must bypass the ring (see doc comment); only faulted packets pay this closure
+		//tlcvet:allow hotalloc — out-of-FIFO delivery must bypass the wire timeline (see doc comment); only faulted packets pay this closure
 		l.Sched.After(l.Delay+extra, func() { l.deliver(p) })
 		return
 	}
 	if l.Delay > 0 {
-		l.ringPush(pkt)
-		if l.deliverFn == nil {
-			//tlcvet:allow hotalloc — allocated once per link on first use, then cached in deliverFn
-			l.deliverFn = func() { l.deliver(l.ringPop()) }
-		}
-		l.Sched.AfterPooled(l.Delay, l.deliverFn)
+		l.wire.After(l.Delay, pkt)
 	} else {
 		l.deliver(pkt)
 	}
@@ -562,41 +545,7 @@ func (l *Link) deliver(pkt *Packet) {
 
 // InFlight returns the number of packets propagating on the wire
 // (transmitted, not yet delivered).
-func (l *Link) InFlight() int { return l.ringLen }
-
-// ringPush appends to the delivery ring, growing it when full.
-func (l *Link) ringPush(p *Packet) {
-	if l.ringLen == len(l.ring) {
-		l.ringGrow()
-	}
-	l.ring[(l.ringHead+l.ringLen)&(len(l.ring)-1)] = p
-	l.ringLen++
-}
-
-// ringPop removes and returns the oldest in-flight packet.
-func (l *Link) ringPop() *Packet {
-	p := l.ring[l.ringHead]
-	l.ring[l.ringHead] = nil
-	l.ringHead = (l.ringHead + 1) & (len(l.ring) - 1)
-	l.ringLen--
-	return p
-}
-
-// ringGrow doubles the ring (16 slots minimum), unwrapping the FIFO to
-// the front of the new buffer.
-func (l *Link) ringGrow() {
-	n := len(l.ring) * 2
-	if n == 0 {
-		n = 16
-	}
-	//tlcvet:allow hotalloc — geometric doubling; amortized O(1) per push and quiescent once the ring reaches the in-flight high-water mark
-	buf := make([]*Packet, n)
-	for i := 0; i < l.ringLen; i++ {
-		buf[i] = l.ring[(l.ringHead+i)&(len(l.ring)-1)]
-	}
-	l.ring = buf
-	l.ringHead = 0
-}
+func (l *Link) InFlight() int { return l.wire.Len() }
 
 // Kick re-evaluates the transmitter; the RAN calls it when a gate
 // opens so buffered packets flush immediately.
@@ -606,13 +555,13 @@ func (l *Link) Kick() { l.kick() }
 // the back of the queue (newest first), counting them as queue drops.
 // The RAN's handover model uses it for source-cell buffer loss.
 func (l *Link) DropQueuedFraction(frac float64) (packets, bytes uint64) {
-	if frac <= 0 || len(l.queue) == 0 {
+	if frac <= 0 || l.QueueLen() == 0 {
 		return 0, 0
 	}
 	target := int(float64(l.queuedBytes) * frac)
 	dropped := 0
 	i := len(l.queue)
-	for i > 0 && dropped < target {
+	for i > l.qhead && dropped < target {
 		i--
 		q := l.queue[i]
 		dropped += q.Size
@@ -623,10 +572,12 @@ func (l *Link) DropQueuedFraction(frac float64) (packets, bytes uint64) {
 		l.qciDrop[q.QCI]++
 		l.Pool.Put(q)
 	}
-	for j := i; j < len(l.queue); j++ {
-		l.queue[j] = nil
-	}
+	clear(l.queue[i:])
 	l.queue = l.queue[:i]
+	if i == l.qhead {
+		l.queue = l.queue[:0]
+		l.qhead = 0
+	}
 	l.queuedBytes -= dropped
 	return packets, bytes
 }

@@ -8,17 +8,16 @@ import (
 )
 
 // TestDeliveryRingFIFOAcrossGrowth keeps more packets in flight than
-// the ring's initial capacity so the circular buffer wraps and grows
-// mid-stream, and checks packets still arrive in transmission order.
+// the wire timeline's initial ring capacity so it grows mid-stream,
+// and checks packets still arrive in transmission order.
 func TestDeliveryRingFIFOAcrossGrowth(t *testing.T) {
 	s := sim.NewScheduler()
 	var got []uint64
 	dst := NodeFunc(func(p *Packet) { got = append(got, p.ID) })
-	// Infinite rate + long delay: every packet sits in the ring at
-	// once (pure-delay links skip the queue and go straight to
-	// propagate).
+	// Infinite rate + long delay: every packet is on the wire at once
+	// (pure-delay links skip the queue and go straight to propagate).
 	l := NewLink("wire", s, 0, 10*time.Millisecond, 0, dst)
-	const n = 100 // well past the initial 16-slot ring
+	const n = 100 // well past the timeline's initial 16 slots
 	var id uint64
 	for i := 0; i < n; i++ {
 		s.AtPooled(sim.Time(i)*time.Microsecond, func() {
@@ -41,8 +40,8 @@ func TestDeliveryRingFIFOAcrossGrowth(t *testing.T) {
 }
 
 // TestLinkSteadyStateZeroAllocs asserts the full per-packet hot path —
-// pool Get, Recv, queue, transmit, propagate (ring push), delayed
-// delivery (ring pop), pool Put — allocates nothing once warm.
+// pool Get, Recv, queue, transmit, propagate, delayed delivery off the
+// wire timeline, pool Put — allocates nothing once warm.
 func TestLinkSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by -race instrumentation")
@@ -63,7 +62,7 @@ func TestLinkSteadyStateZeroAllocs(t *testing.T) {
 		l.Recv(p)
 		s.RunUntil(s.Now() + 10*time.Millisecond)
 	}
-	for i := 0; i < 64; i++ { // warm pools, heap, ring and queue
+	for i := 0; i < 64; i++ { // warm pools, heap, timelines and queue
 		send()
 	}
 	if avg := testing.AllocsPerRun(200, send); avg != 0 {
@@ -71,6 +70,53 @@ func TestLinkSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// TestLinkStandingQueueZeroAllocs keeps a standing queue of about 100
+// packets while thousands pass through, one in and one out per step.
+// A dequeue that advanced the queue's slice base would erode its
+// capacity and make append reallocate every cap packets; the
+// drain-to-empty test above cannot see that.
+func TestLinkStandingQueueZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by -race instrumentation")
+	}
+	s := sim.NewScheduler()
+	pp := &PacketPool{}
+	delivered := 0
+	dst := NodeFunc(func(p *Packet) {
+		delivered++
+		pp.Put(p)
+	})
+	const rate = 1e8
+	l := NewLink("standing", s, rate, 2*time.Millisecond, 0, dst)
+	l.Pool = pp
+	tx := time.Duration(1400 * 8 / rate * float64(time.Second)) // one packet's transmit time
+	recv := func() {
+		p := pp.Get()
+		p.Size = 1400
+		p.QCI = 9
+		l.Recv(p)
+	}
+	for i := 0; i < 100; i++ { // build the standing queue
+		recv()
+	}
+	cycles := func() {
+		for i := 0; i < 500; i++ {
+			recv()
+			s.RunUntil(s.Now() + tx) // exactly one transmission completes
+		}
+	}
+	cycles() // warm pools, timelines and the queue's backing array
+	if avg := testing.AllocsPerRun(10, cycles); avg != 0 {
+		t.Fatalf("standing queue allocates %v per 500 packets, want 0", avg)
+	}
+	if q := l.QueueLen(); q < 64 {
+		t.Fatalf("queue drained to %d packets; the test needs a standing queue of at least 64", q)
+	}
+	if delivered < 5000 {
+		t.Fatalf("only %d packets delivered", delivered)
 	}
 }
 

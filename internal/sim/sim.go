@@ -137,6 +137,11 @@ type Scheduler struct {
 	stopped bool
 	fired   uint64
 
+	// active holds the non-empty timelines (see timeline.go); tlMin
+	// is the one with the earliest head, nil when all are empty.
+	active []*timeline
+	tlMin  *timeline
+
 	// free recycles Event structs for the pooled scheduling calls
 	// (AtPooled/AfterPooled). A one-hour charging cycle fires tens of
 	// millions of events, almost all from hot paths that never keep
@@ -170,9 +175,16 @@ func (s *Scheduler) Now() Time { return s.now }
 // sanity checks in tests and benchmarks.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still queued (including
-// cancelled events that have not yet been popped).
-func (s *Scheduler) Pending() int { return len(s.events) }
+// Pending returns the number of events still queued, on the heap
+// (including cancelled events that have not yet been popped) and on
+// timelines.
+func (s *Scheduler) Pending() int {
+	n := len(s.events)
+	for _, tl := range s.active {
+		n += tl.n
+	}
+	return n
+}
 
 // At schedules fn to run at absolute simulated time t. Scheduling in
 // the past panics: it indicates a causality bug in the caller.
@@ -262,27 +274,52 @@ func (s *Scheduler) Cancel(ev *Event) {
 
 // Step executes the single next event. It reports false when no
 // runnable events remain.
+func (s *Scheduler) Step() bool { return s.stepUntil(maxTime) }
+
+// maxTime is the latest representable simulated time.
+const maxTime = Time(1<<63 - 1)
+
+// stepUntil executes the next event if it fires no later than limit,
+// reporting whether one ran. The next event is the earlier by
+// (at, seq) of the heap root and the earliest timeline head;
+// cancelled heap roots are discarded on the way.
 //
 //tlcvet:hotpath the event loop's inner dispatch; runs once per event
-func (s *Scheduler) Step() bool {
+func (s *Scheduler) stepUntil(limit Time) bool {
+	tl := s.tlMin
 	for len(s.events) > 0 {
-		e := s.pop()
-		ev := e.ev
-		if ev.cancelled {
-			s.recycle(ev)
+		r := &s.events[0]
+		if r.ev.cancelled {
+			s.recycle(s.pop().ev)
 			continue
 		}
+		if tl != nil && (tl.at < r.at || (tl.at == r.at && tl.seq < r.seq)) {
+			break // a timeline head fires first
+		}
+		if r.at > limit {
+			return false
+		}
+		e := s.pop()
 		s.now = e.at
 		s.fired++
 		if s.TraceHook != nil {
 			s.TraceHook(e.at, e.seq)
 		}
-		fn := ev.fn
-		s.recycle(ev)
+		fn := e.ev.fn
+		s.recycle(e.ev)
 		fn()
 		return true
 	}
-	return false
+	if tl == nil || tl.at > limit {
+		return false
+	}
+	s.now = tl.at
+	s.fired++
+	if s.TraceHook != nil {
+		s.TraceHook(tl.at, tl.seq)
+	}
+	tl.fire()
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -297,20 +334,7 @@ func (s *Scheduler) Run() {
 // queued.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.events) == 0 {
-			break
-		}
-		// Peek: the heap root is the earliest event.
-		next := s.events[0]
-		if next.ev.cancelled {
-			s.recycle(s.pop().ev)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		s.Step()
+	for !s.stopped && s.stepUntil(deadline) {
 	}
 	if s.now < deadline {
 		s.now = deadline

@@ -37,7 +37,8 @@
 #                coverage-guided fuzz of segment replay, and schema +
 #                invariant validation of the checked-in
 #                BENCH_ledger.json durability cost curve
-#   allocs     — testing.AllocsPerRun guards for the event-engine,
+#   allocs     — testing.AllocsPerRun guards for the event-engine
+#                (heap, timelines, a link's standing queue),
 #                metrics-observation and frame-reader hot paths; these
 #                skip themselves under -race (its instrumentation
 #                perturbs counts), so they need this separate non-race
@@ -45,6 +46,9 @@
 #   bench      — every benchmark compiles and survives one iteration,
 #                plus a quick sharded city run at -shards 2 through
 #                the tlcbench CLI (exercises the -shards plumbing)
+#   perfbench  — the benchmark's own tests under the race detector:
+#                workload catalogue, quantile maths and a tiny run of
+#                every workload
 #   roaming    — the multi-operator settlement chain: chain codec and
 #                verifier forgery battery, the three-party wire
 #                protocol, the chained-game/settlement property tests
@@ -67,6 +71,10 @@ stage() {
 	_t0=$(date +%s)
 	"$@"
 	printf '<== %-9s ok (%ss)\n' "$_name" "$(($(date +%s) - _t0))"
+}
+
+perfbench_tests() {
+	(cd perfbench && go test -race .)
 }
 
 city_smoke() {
@@ -100,6 +108,7 @@ stage ledger go run ./cmd/tlcbench -ledger-check BENCH_ledger.json
 stage allocs go test -run ZeroAlloc ./internal/sim ./internal/netem ./internal/metrics ./internal/protocol ./internal/ledger
 stage bench go test -run '^$' -bench . -benchtime 1x ./...
 stage bench city_smoke
+stage perfbench perfbench_tests
 stage roaming go test -run 'Chain|Roaming|Byzantine|Settle|Forger|ChainedG' -race ./internal/poc ./internal/protocol ./internal/roaming ./internal/experiment
 stage roaming go test -run '^$' -fuzz '^FuzzChainVerify$' -fuzztime 10s ./internal/poc
 stage fuzz go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/protocol
