@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// TestFrameReaderParity pins FrameReader to ReadFrame's observable
-// behaviour over the same byte streams: identical frames on success,
-// identical error classification on every failure mode.
+// TestFrameReaderParity runs ReadFrame and FrameReader over the same
+// byte streams against each stream's expected frames and final error
+// class: a clean EOF only on a frame boundary, a truncation for a
+// stream that dies mid-frame, and a hard (untyped) error for a header
+// past MaxFrame.
 func TestFrameReaderParity(t *testing.T) {
 	frame := func(body []byte) []byte {
 		var b bytes.Buffer
@@ -18,35 +20,54 @@ func TestFrameReaderParity(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	streams := [][]byte{
-		{},                       // clean EOF
-		{0, 0},                   // partial header
-		{0, 0, 0, 0},             // empty frame
-		frame([]byte("abc")),     // small frame
-		{0, 0, 0, 10, 1, 2},      // truncated body
-		{0xff, 0xff, 0xff, 0xff}, // oversize header
-		{0, 1, 0, 1},             // just past MaxFrame
-		append(frame([]byte("first")), frame(bytes.Repeat([]byte{7}, 512))...), // back-to-back
+	big := bytes.Repeat([]byte{7}, 512)
+	cases := []struct {
+		name   string
+		stream []byte
+		frames [][]byte
+		class  string // "eof", "truncated" or "oversize"
+	}{
+		{"clean EOF", []byte{}, nil, "eof"},
+		{"partial header", []byte{0, 0}, nil, "truncated"},
+		{"empty frame", []byte{0, 0, 0, 0}, [][]byte{{}}, "eof"},
+		{"small frame", frame([]byte("abc")), [][]byte{[]byte("abc")}, "eof"},
+		{"truncated body", []byte{0, 0, 0, 10, 1, 2}, nil, "truncated"},
+		{"oversize header", []byte{0xff, 0xff, 0xff, 0xff}, nil, "oversize"},
+		{"just past MaxFrame", []byte{0, 1, 0, 1}, nil, "oversize"},
+		{"back-to-back", append(frame([]byte("first")), frame(big)...), [][]byte{[]byte("first"), big}, "eof"},
 	}
-	for _, stream := range streams {
-		ref := bytes.NewReader(stream)
-		fr := NewFrameReader(bytes.NewReader(stream))
-		for {
-			want, wantErr := ReadFrame(ref)
-			got, gotErr := fr.ReadFrame()
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("stream %x: ReadFrame err=%v FrameReader err=%v", stream, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				for _, target := range []error{ErrFrameTruncated, io.EOF} {
-					if errors.Is(wantErr, target) != errors.Is(gotErr, target) {
-						t.Fatalf("stream %x: error class diverged: %v vs %v", stream, wantErr, gotErr)
+	classOf := func(err error) string {
+		switch {
+		case errors.Is(err, io.EOF):
+			return "eof"
+		case errors.Is(err, ErrFrameTruncated):
+			return "truncated"
+		default:
+			return "oversize"
+		}
+	}
+	for _, tc := range cases {
+		r := bytes.NewReader(tc.stream)
+		fr := NewFrameReader(bytes.NewReader(tc.stream))
+		readers := map[string]func() ([]byte, error){
+			"ReadFrame":   func() ([]byte, error) { return ReadFrame(r) },
+			"FrameReader": fr.ReadFrame,
+		}
+		for name, read := range readers {
+			for i := 0; ; i++ {
+				got, err := read()
+				if err != nil {
+					if i != len(tc.frames) {
+						t.Fatalf("%s/%s: error %v after %d frames, want %d", tc.name, name, err, i, len(tc.frames))
 					}
+					if c := classOf(err); c != tc.class {
+						t.Fatalf("%s/%s: error %v is %s, want %s", tc.name, name, err, c, tc.class)
+					}
+					break
 				}
-				break
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("stream %x: frame diverged: %x vs %x", stream, want, got)
+				if i >= len(tc.frames) || !bytes.Equal(got, tc.frames[i]) {
+					t.Fatalf("%s/%s: unexpected frame %d: %x", tc.name, name, i, got)
+				}
 			}
 		}
 	}

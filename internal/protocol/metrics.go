@@ -1,6 +1,10 @@
 package protocol
 
-import "tlc/internal/metrics"
+import (
+	"errors"
+
+	"tlc/internal/metrics"
+)
 
 // Metrics are the negotiation-layer instruments, observed inline:
 // unlike the simulated substrates, protocol runs serve live peers
@@ -14,27 +18,7 @@ import "tlc/internal/metrics"
 // (cmd/tlcd wraps each settlement with time.Since); nothing in
 // internal/ reads wall time, which keeps the tlcvet simtime pass
 // clean without waivers.
-var Metrics = struct {
-	// NegotiationsStarted/Settled/Failed count Party.Run outcomes.
-	NegotiationsStarted *metrics.Counter
-	NegotiationsSettled *metrics.Counter
-	NegotiationsFailed  *metrics.Counter
-	// RoundsTotal accumulates claims sent/answered across settled
-	// negotiations (RoundsTotal/NegotiationsSettled = mean rounds).
-	RoundsTotal *metrics.Counter
-	// Retries counts backoff re-attempts taken by Retrier.Do.
-	Retries *metrics.Counter
-	// StaleProofRejections counts replayed-PoC rejections
-	// (ErrStaleProof); ByzantineRejections counts peer-validation
-	// failures (ErrBadPeer: bad signatures, forged or mismatched
-	// claims); FrameTruncations counts streams that died mid-frame.
-	StaleProofRejections *metrics.Counter
-	ByzantineRejections  *metrics.Counter
-	FrameTruncations     *metrics.Counter
-	// NegotiateSeconds is the negotiation round-trip latency
-	// histogram, observed by live callers (cmd/tlcd).
-	NegotiateSeconds *metrics.Histogram
-}{
+var Metrics = negotiationMetrics{
 	NegotiationsStarted: metrics.Default.Counter("protocol_negotiations_started_total",
 		"negotiation runs started by this process"),
 	NegotiationsSettled: metrics.Default.Counter("protocol_negotiations_settled_total",
@@ -54,4 +38,48 @@ var Metrics = struct {
 	NegotiateSeconds: metrics.Default.Histogram("protocol_negotiate_seconds",
 		"negotiation round-trip latency in seconds (observed by live servers)",
 		metrics.DefBuckets),
+}
+
+// negotiationMetrics is the type of Metrics.
+type negotiationMetrics struct {
+	// NegotiationsStarted/Settled/Failed count negotiation outcomes,
+	// from Party.Run and the session engine alike.
+	NegotiationsStarted *metrics.Counter
+	NegotiationsSettled *metrics.Counter
+	NegotiationsFailed  *metrics.Counter
+	// RoundsTotal accumulates claims sent/answered across settled
+	// negotiations (RoundsTotal/NegotiationsSettled = mean rounds).
+	RoundsTotal *metrics.Counter
+	// Retries counts backoff re-attempts taken by Retrier.Do.
+	Retries *metrics.Counter
+	// StaleProofRejections counts replayed-PoC rejections
+	// (ErrStaleProof); ByzantineRejections counts peer-validation
+	// failures (ErrBadPeer: bad signatures, forged or mismatched
+	// claims); FrameTruncations counts streams that died mid-frame.
+	StaleProofRejections *metrics.Counter
+	ByzantineRejections  *metrics.Counter
+	FrameTruncations     *metrics.Counter
+	// NegotiateSeconds is the negotiation round-trip latency
+	// histogram, observed by live callers (cmd/tlcd).
+	NegotiateSeconds *metrics.Histogram
+}
+
+// Settle records a negotiation that settled after rounds claims.
+func (m *negotiationMetrics) Settle(rounds int) {
+	m.NegotiationsSettled.Inc()
+	m.RoundsTotal.Add(uint64(rounds))
+}
+
+// Fail records a failed negotiation and classifies its cause; nil is
+// a failure without a typed cause (a peer abort, a swept session).
+func (m *negotiationMetrics) Fail(err error) {
+	m.NegotiationsFailed.Inc()
+	switch {
+	case errors.Is(err, ErrStaleProof):
+		m.StaleProofRejections.Inc()
+	case errors.Is(err, ErrBadPeer):
+		m.ByzantineRejections.Inc()
+	case errors.Is(err, ErrFrameTruncated):
+		m.FrameTruncations.Inc()
+	}
 }

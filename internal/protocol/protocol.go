@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"time"
 
@@ -36,30 +35,6 @@ func WriteFrame(w io.Writer, data []byte) error {
 	}
 	_, err := w.Write(data)
 	return err
-}
-
-// ReadFrame reads one length-prefixed message. A stream that ends
-// mid-frame — partway through the header or the announced body — is a
-// truncation, not a clean EOF, and returns ErrFrameTruncated so
-// callers can fail closed (close the connection) instead of leaving
-// the peer mid-exchange on a half-consumed stream.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if n, err := io.ReadFull(r, hdr[:]); err != nil {
-		if n > 0 {
-			return nil, fmt.Errorf("%w: %d of 4 header bytes: %v", ErrFrameTruncated, n, err)
-		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("protocol: frame of %d bytes exceeds max %d", n, MaxFrame)
-	}
-	data := make([]byte, n)
-	if m, err := io.ReadFull(r, data); err != nil {
-		return nil, fmt.Errorf("%w: %d of %d body bytes: %v", ErrFrameTruncated, m, n, err)
-	}
-	return data, nil
 }
 
 // Errors surfaced by a negotiation run.
@@ -120,13 +95,6 @@ type Result struct {
 	Rounds int // claims this party sent or answered
 }
 
-func (p *Party) coreRole() core.Role {
-	if p.Role == poc.RoleEdge {
-		return core.EdgeRole
-	}
-	return core.OperatorRole
-}
-
 func (p *Party) rng() *sim.RNG {
 	if p.RNG == nil {
 		p.RNG = sim.NewRNG(0)
@@ -141,13 +109,6 @@ func (p *Party) nonceSource() io.Reader {
 	return p.rng()
 }
 
-func (p *Party) maxRounds() int {
-	if p.MaxRounds > 0 {
-		return p.MaxRounds
-	}
-	return core.DefaultMaxRounds
-}
-
 func (p *Party) deadline(conn io.ReadWriter) {
 	if p.Timeout <= 0 {
 		return
@@ -158,223 +119,70 @@ func (p *Party) deadline(conn io.ReadWriter) {
 	}
 }
 
-// validateCDR checks plan and signature of a peer claim.
-func (p *Party) validateCDR(c *poc.CDR) error {
-	if !c.Plan.Equal(p.Plan) {
-		return fmt.Errorf("%w: plan mismatch", ErrBadPeer)
-	}
-	if c.Role != p.Role.Other() {
-		return fmt.Errorf("%w: role mismatch", ErrBadPeer)
-	}
-	if err := c.Verify(p.PeerKey); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadPeer, err)
-	}
-	return nil
-}
-
 // Run executes the negotiation over the transport. The initiator
 // sends the first CDR; the responder waits for it. On success both
 // sides hold the same doubly signed PoC.
 func (p *Party) Run(conn io.ReadWriter, initiate bool) (*Result, error) {
 	Metrics.NegotiationsStarted.Inc()
 	res, err := p.run(conn, initiate)
-	switch {
-	case err == nil:
-		Metrics.NegotiationsSettled.Inc()
-		Metrics.RoundsTotal.Add(uint64(res.Rounds))
-	default:
-		Metrics.NegotiationsFailed.Inc()
-		switch {
-		case errors.Is(err, ErrStaleProof):
-			Metrics.StaleProofRejections.Inc()
-		case errors.Is(err, ErrBadPeer):
-			Metrics.ByzantineRejections.Inc()
-		case errors.Is(err, ErrFrameTruncated):
-			Metrics.FrameTruncations.Inc()
-		}
+	if err != nil {
+		Metrics.Fail(err)
+		return nil, err
 	}
-	return res, err
+	Metrics.Settle(res.Rounds)
+	return res, nil
 }
 
+// run drives one Machine with blocking reads and writes on conn.
 func (p *Party) run(conn io.ReadWriter, initiate bool) (*Result, error) {
 	if p.Strategy == nil || p.Keys == nil || p.PeerKey == nil {
 		return nil, errors.New("protocol: Strategy, Keys and PeerKey are required")
 	}
-	bounds := core.Bounds{Lower: 0, Upper: math.Inf(1)}
-	var (
-		seq         uint32
-		lastOwn     *poc.CDR // our latest outstanding claim
-		lastSentCDA *poc.CDA // the acceptance we sent, if any
-		rounds      int
-		myLastVol   = math.NaN()
-	)
-
-	sendCDR := func() error {
-		rounds++
-		if rounds > p.maxRounds() {
-			return ErrNoConvergence
-		}
-		vol := p.Strategy.Claim(p.coreRole(), p.View, bounds, rounds, p.rng())
-		myLastVol = vol
-		cdr, err := poc.BuildCDR(p.Plan, p.Role, seq, poc.RoundVolume(vol), p.nonceSource(), p.Keys.Private)
-		if err != nil {
-			return err
-		}
-		seq++
-		lastOwn = cdr
-		data, err := cdr.MarshalBinary()
-		if err != nil {
-			return err
-		}
+	cfg := Config{
+		Role: p.Role, Plan: p.Plan, Key: p.Keys.Private,
+		Strategy: p.Strategy, View: p.View, MaxRounds: p.MaxRounds,
+		KeepProof: true,
+	}
+	env := Env{RNG: p.rng(), Nonce: p.nonceSource()}
+	var m Machine
+	m.Init(&cfg, p.PeerKey)
+	emit := func(data []byte) error {
 		p.deadline(conn)
 		return WriteFrame(conn, data)
 	}
-
-	// tighten implements Algorithm 1 line 12 after any reject.
-	tighten := func(peerVol uint64) {
-		if math.IsNaN(myLastVol) {
-			return
-		}
-		lo := math.Min(myLastVol, float64(peerVol))
-		hi := math.Max(myLastVol, float64(peerVol))
-		bounds = core.Bounds{Lower: lo, Upper: hi}
-	}
-
 	if initiate {
-		if err := sendCDR(); err != nil {
+		if err := m.Start(&env, emit); err != nil {
 			return nil, err
 		}
 	}
-
-	for {
+	for !m.Done() {
 		p.deadline(conn)
 		frame, err := ReadFrame(conn)
+		if err == nil {
+			_, err = m.Handle(frame, &env, emit)
+		}
 		if err != nil {
-			if errors.Is(err, ErrFrameTruncated) {
+			if errors.Is(err, ErrFrameTruncated) || errors.Is(err, ErrStaleProof) {
 				closeConn(conn)
 			}
 			return nil, err
 		}
-		if len(frame) == 0 {
-			return nil, ErrBadMessage
-		}
-		switch frame[0] {
-		case 1: // CDR: either the peer's opening claim or a reject/re-claim.
-			var cdr poc.CDR
-			if err := cdr.UnmarshalBinary(frame); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
-			}
-			if err := p.validateCDR(&cdr); err != nil {
-				return nil, err
-			}
-			inWindow := bounds.Contains(float64(cdr.Volume))
-			accept := inWindow && p.Strategy.Decide(p.coreRole(), p.View, myLastVol, float64(cdr.Volume), rounds+1, p.rng())
-			if accept {
-				// Reply CDA carrying our own claim.
-				rounds++
-				if rounds > p.maxRounds() {
-					return nil, ErrNoConvergence
-				}
-				vol := p.Strategy.Claim(p.coreRole(), p.View, bounds, rounds, p.rng())
-				myLastVol = vol
-				cda, err := poc.BuildCDA(p.Plan, p.Role, cdr.Seq, poc.RoundVolume(vol), &cdr, p.nonceSource(), p.Keys.Private)
-				if err != nil {
-					return nil, err
-				}
-				seq = cdr.Seq + 1
-				data, err := cda.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				p.deadline(conn)
-				if err := WriteFrame(conn, data); err != nil {
-					return nil, err
-				}
-				lastSentCDA = cda
-				continue
-			}
-			// Implicit reject: tighten and re-claim (Figure 7 case 2/3).
-			tighten(cdr.Volume)
-			if err := sendCDR(); err != nil {
-				return nil, err
-			}
-
-		case 2: // CDA: the peer accepted our last CDR.
-			var cda poc.CDA
-			if err := cda.UnmarshalBinary(frame); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
-			}
-			if !cda.Plan.Equal(p.Plan) || cda.Role != p.Role.Other() {
-				return nil, fmt.Errorf("%w: CDA plan/role", ErrBadPeer)
-			}
-			if err := cda.Verify(p.PeerKey); err != nil {
-				return nil, fmt.Errorf("%w: CDA signature: %v", ErrBadPeer, err)
-			}
-			// The embedded CDR must be exactly the claim we sent —
-			// no mix-and-match across rounds.
-			if lastOwn == nil || cda.Peer.Nonce != lastOwn.Nonce || cda.Peer.Volume != lastOwn.Volume {
-				return nil, fmt.Errorf("%w: CDA embeds a claim we did not send", ErrBadPeer)
-			}
-			accept := p.Strategy.Decide(p.coreRole(), p.View, myLastVol, float64(cda.Volume), rounds, p.rng())
-			if accept {
-				proof, err := poc.BuildPoC(&cda, p.Keys.Private)
-				if err != nil {
-					return nil, err
-				}
-				data, err := proof.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				p.deadline(conn)
-				if err := WriteFrame(conn, data); err != nil {
-					return nil, err
-				}
-				return &Result{PoC: proof, X: proof.X, Rounds: rounds}, nil
-			}
-			// Reject the acceptance: tighten and re-claim.
-			tighten(cda.Volume)
-			if err := sendCDR(); err != nil {
-				return nil, err
-			}
-
-		case 3: // PoC: the peer finished the negotiation.
-			var proof poc.PoC
-			if err := proof.UnmarshalBinary(frame); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
-			}
-			// Validate the whole chain as an Algorithm 2 verifier
-			// would, with our key as one side.
-			var edgeKey, opKey *rsa.PublicKey
-			if p.Role == poc.RoleEdge {
-				edgeKey, opKey = p.Keys.Public, p.PeerKey
-			} else {
-				edgeKey, opKey = p.PeerKey, p.Keys.Public
-			}
-			if err := poc.VerifyStateless(&proof, p.Plan, edgeKey, opKey); err != nil {
-				return nil, fmt.Errorf("%w: PoC: %v", ErrBadPeer, err)
-			}
-			// Signature validity is not enough: a proof from an earlier
-			// negotiation also verifies. The PoC must embed the exact
-			// CDA this party sent in this exchange, or it is a replay.
-			if lastSentCDA == nil ||
-				proof.CDA.Nonce != lastSentCDA.Nonce ||
-				proof.CDA.Volume != lastSentCDA.Volume ||
-				proof.CDA.Seq != lastSentCDA.Seq {
-				closeConn(conn)
-				return nil, fmt.Errorf("%w: PoC does not embed the CDA we sent", ErrStaleProof)
-			}
-			return &Result{PoC: &proof, X: proof.X, Rounds: rounds}, nil
-
-		default:
-			return nil, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, frame[0])
-		}
 	}
+	var proof poc.PoC
+	if err := proof.UnmarshalBinary(m.Proof()); err != nil {
+		return nil, err
+	}
+	return &Result{PoC: &proof, X: m.X(), Rounds: m.Rounds()}, nil
 }
+
+// newPipe makes the in-memory connections RunPair and RunRoaming
+// negotiate over; the transcript tests wrap it to record the wire.
+var newPipe = net.Pipe
 
 // RunPair drives both parties over an in-memory connection and
 // returns their results; it is the simulator's convenience entry.
 func RunPair(initiator, responder *Party) (*Result, *Result, error) {
-	ci, cr := net.Pipe()
+	ci, cr := newPipe()
 
 	type outcome struct {
 		res *Result

@@ -138,7 +138,7 @@ func RunRoaming(cfg RoamingConfig) (*RoamingResult, error) {
 	// Upstream negotiation and chain handoff share one connection: the
 	// chain frame (kind 5, the chain codec's own tag) follows the
 	// settlement on the same stream.
-	ci, cr := net.Pipe()
+	ci, cr := newPipe()
 	type homeOut struct {
 		res   *Result
 		chain *poc.Chain

@@ -99,7 +99,7 @@ type clientConn struct {
 // blocks until every session resolves or its connection dies. It
 // leaves no goroutines behind.
 func RunClient(cc ClientConfig) (*ClientResult, error) {
-	if err := cc.Config.validate(); err != nil {
+	if err := cc.Config.Validate(); err != nil {
 		return nil, err
 	}
 	if cc.Sessions <= 0 || len(cc.Conns) == 0 {
@@ -147,6 +147,13 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 	if !cc.OpenFirst {
 		close(gate)
 	}
+	// herd holds every reader until all conns have buffered their
+	// responses, so no session settles while another conn's claims
+	// are still on their way to the server.
+	var herd sync.WaitGroup
+	if cc.OpenFirst {
+		herd.Add(len(conns))
+	}
 	var wg sync.WaitGroup
 	for _, cn := range conns {
 		wg.Add(2)
@@ -157,7 +164,7 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 		go func(cn *clientConn) {
 			defer wg.Done()
 			<-gate
-			cn.readLoop(&cc)
+			cn.readLoop(&cc, &herd)
 		}(cn)
 	}
 
@@ -261,7 +268,7 @@ func (cn *clientConn) emit(cc *ClientConfig, s *clientSession) func([]byte) erro
 
 // readLoop processes server frames until every assigned session
 // resolves or the connection dies, then shuts the writer down.
-func (cn *clientConn) readLoop(cc *ClientConfig) {
+func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
 	fr := protocol.NewFrameReader(cn.rw)
 
 	// OpenFirst phase: buffer one response per opened session before
@@ -276,6 +283,8 @@ func (cn *clientConn) readLoop(cc *ClientConfig) {
 			}
 			buffered = append(buffered, append([]byte(nil), frame...))
 		}
+		herd.Done()
+		herd.Wait()
 	}
 
 	for cn.remaining() > 0 {

@@ -87,7 +87,7 @@ type Engine struct {
 // NewEngine validates the configuration and builds the engine; call
 // Start before serving connections.
 func NewEngine(ec EngineConfig) (*Engine, error) {
-	if err := ec.Config.validate(); err != nil {
+	if err := ec.Config.Validate(); err != nil {
 		return nil, err
 	}
 	if ec.Shards == 0 {
@@ -261,14 +261,14 @@ func (e *Engine) ServeConn(conn io.ReadWriter, hello []byte) error {
 	}
 
 	// Teardown: fail whatever is still resident for this conn before
-	// its id could ever be observed again, then let the writer flush
-	// and exit. The table-wide sweep (not the reader-local c.sessions
-	// index) is authoritative — it also evicts sessions another
-	// muxConn admitted under the same id, so a reused conn id can
-	// never alias a dead conn's sessions. Workers may be settling
-	// these sessions concurrently; the per-session state CAS
-	// arbitrates.
-	e.evictConn(c.id)
+	// its id could ever be observed again, with the read error that
+	// ended the conn as the cause, then let the writer flush and exit.
+	// The table-wide sweep (not the reader-local c.sessions index) is
+	// authoritative — it also evicts sessions another muxConn admitted
+	// under the same id, so a reused conn id can never alias a dead
+	// conn's sessions. Workers may be settling these sessions
+	// concurrently; the per-session state CAS arbitrates.
+	e.evictConn(c.id, readErr)
 	c.out.close()
 	<-writerDone
 	return readErr

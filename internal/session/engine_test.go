@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/hex"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -14,7 +15,25 @@ import (
 	"tlc/internal/core"
 	"tlc/internal/poc"
 	"tlc/internal/protocol"
+	"tlc/internal/sim"
 )
+
+var (
+	edgeKeys *poc.KeyPair
+	opKeys   *poc.KeyPair
+	testPlan = poc.Plan{TStart: 0, TEnd: int64(time.Hour), C: 0.5}
+)
+
+func init() {
+	rng := sim.NewRNG(4321)
+	var err error
+	if edgeKeys, err = poc.GenerateKeyPair(poc.DefaultKeyBits, rng.Fork("e")); err != nil {
+		panic(err)
+	}
+	if opKeys, err = poc.GenerateKeyPair(poc.DefaultKeyBits, rng.Fork("o")); err != nil {
+		panic(err)
+	}
+}
 
 // testView settles at X=950 in one round under optimal/optimal.
 var testView = core.View{Sent: 1000, Received: 900}
@@ -307,5 +326,59 @@ func TestEngineStoppedRejectsNewSessions(t *testing.T) {
 	}
 	if res.Settled != 0 {
 		t.Fatalf("stopped engine settled a session: %+v", res)
+	}
+}
+
+// TestEngineCountsMidFrameDeathAsTruncation: a mux conn that dies
+// mid-frame fails its resident sessions with the read error, so each
+// one is classified in protocol_frame_truncations_total like a Party
+// run on a truncated stream.
+func TestEngineCountsMidFrameDeathAsTruncation(t *testing.T) {
+	eng, err := NewEngine(operatorEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	defer eng.Stop()
+	truncBefore := protocol.Metrics.FrameTruncations.Value()
+
+	client, server := net.Pipe()
+	defer func() { _ = client.Close() }()
+	edgeDER, err := x509.MarshalPKIXPublicKey(&edgeKeys.Private.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- eng.ServeConn(server, Hello(edgeDER)) }()
+	if _, err := protocol.ReadFrame(client); err != nil { // the engine's key frame
+		t.Fatal(err)
+	}
+
+	// One admitted session: its opening claim is dispatched before
+	// the reader reads on.
+	edgeCfg := edgeClientConfig(1, nil).Config
+	var m Machine
+	m.Init(&edgeCfg, &opKeys.Private.PublicKey)
+	var opening []byte
+	if err := m.Start(&Env{RNG: sim.NewRNG(1)}, func(msg []byte) error {
+		opening = AppendMux(nil, TypeData, 1, msg)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.WriteFrame(client, opening); err != nil {
+		t.Fatal(err)
+	}
+	// Half a frame, then hang up.
+	if _, err := client.Write([]byte{0, 0, 0, 64, TypeData, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	_ = client.Close()
+
+	if err := <-served; !errors.Is(err, protocol.ErrFrameTruncated) {
+		t.Fatalf("ServeConn = %v, want ErrFrameTruncated", err)
+	}
+	if got := protocol.Metrics.FrameTruncations.Value() - truncBefore; got != 1 {
+		t.Fatalf("frame truncations delta = %d, want 1 (the admitted session)", got)
 	}
 }

@@ -18,8 +18,8 @@
 //     across sessions, and a verified-key cache keeps x509 parsing
 //     off the hot path.
 //
-// Negotiations run as event-driven state machines (Machine), not
-// goroutine-per-session: a parked session is a few hundred bytes of
+// Negotiations run as event-driven state machines (protocol.Machine,
+// the one Party.Run also drives), not goroutine-per-session: a parked session is a few hundred bytes of
 // table state, which is what makes the million-session table fit.
 //
 // Nothing in this package reads a wall clock (tlcvet's simtime rule);

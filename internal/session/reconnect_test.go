@@ -88,7 +88,7 @@ func TestEvictConnSweepsTable(t *testing.T) {
 	eng.dispatch(twin, 17, payload)
 	eng.dispatch(bystander, 1, payload)
 
-	eng.evictConn(9)
+	eng.evictConn(9, nil)
 
 	for _, sh := range eng.table.shards {
 		sh.mu.Lock()
@@ -136,10 +136,10 @@ func TestReconnectReuseConcurrent(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		eng.evictConn(77)
+		eng.evictConn(77, nil)
 	}()
 	wg.Wait()
-	eng.evictConn(77)
+	eng.evictConn(77, nil)
 	for _, sh := range eng.table.shards {
 		sh.mu.Lock()
 		for k := range sh.sessions {

@@ -262,8 +262,7 @@ func (e *Engine) settleSession(s *session) {
 	}
 	e.removeSession(s)
 	Metrics.Settled.Inc()
-	protocol.Metrics.NegotiationsSettled.Inc()
-	protocol.Metrics.RoundsTotal.Add(uint64(s.m.Rounds()))
+	protocol.Metrics.Settle(s.m.Rounds())
 	if e.stopwatch != nil {
 		protocol.Metrics.NegotiateSeconds.Observe(e.stopwatch() - s.start)
 	}
@@ -298,13 +297,7 @@ func (e *Engine) failSession(s *session, code byte, cause error) {
 	}
 	e.removeSession(s)
 	Metrics.Failed.Inc()
-	protocol.Metrics.NegotiationsFailed.Inc()
-	switch {
-	case errors.Is(cause, protocol.ErrStaleProof):
-		protocol.Metrics.StaleProofRejections.Inc()
-	case errors.Is(cause, protocol.ErrBadPeer):
-		protocol.Metrics.ByzantineRejections.Inc()
-	}
+	protocol.Metrics.Fail(cause)
 	detail := ""
 	if cause != nil {
 		detail = cause.Error()
@@ -313,13 +306,14 @@ func (e *Engine) failSession(s *session, code byte, cause error) {
 }
 
 // evictConn fails every session still resident in the table under
-// conn id. It is the authoritative teardown sweep: unlike the
-// reader-local c.sessions index, it also catches sessions admitted by
-// a *different* muxConn carrying the same id, so a connection id can
-// never be reused while a dead conn's sessions still alias its keys.
+// conn id with cause, the conn's read error (nil on a clean hangup).
+// It is the authoritative teardown sweep: unlike the reader-local
+// c.sessions index, it also catches sessions admitted by a *different*
+// muxConn carrying the same id, so a connection id can never be
+// reused while a dead conn's sessions still alias its keys.
 // Victims are collected under the shard lock but failed outside it
 // (failSession re-enters the shard lock through removeSession).
-func (e *Engine) evictConn(id uint64) {
+func (e *Engine) evictConn(id uint64, cause error) {
 	var victims []*session
 	for _, sh := range e.table.shards {
 		sh.mu.Lock()
@@ -331,7 +325,7 @@ func (e *Engine) evictConn(id uint64) {
 		sh.mu.Unlock()
 	}
 	for _, s := range victims {
-		e.failSession(s, RejectShutdown, nil)
+		e.failSession(s, RejectShutdown, cause)
 	}
 }
 
